@@ -1,10 +1,13 @@
 // Component microbenchmarks (google-benchmark): the hot structures of the
-// simulator itself — event queue, switch-directory SRAM model, routing,
-// trace generation and the sequential trace simulator.
+// simulator itself — event queue, switch-directory SRAM model, routing, the
+// flit-level network, trace generation and the sequential trace simulator.
 #include <benchmark/benchmark.h>
 
 #include "common/event_queue.h"
 #include "common/rng.h"
+#include "common/scheduler.h"
+#include "common/stats.h"
+#include "interconnect/flit_network.h"
 #include "interconnect/topology.h"
 #include "switchdir/dir_cache.h"
 #include "switchdir/port_schedule.h"
@@ -67,11 +70,52 @@ void BM_PortSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_PortSchedule);
 
+void BM_FlitNetworkAllToAll(benchmark::State& state) {
+  // Every processor writes a line back to every memory at once (256 five-flit
+  // messages on the 16-node machine): the all-to-all burst an FFT transpose
+  // drives through the flit model. Network construction is included; items
+  // are flit link traversals.
+  std::uint64_t flits = 0;
+  for (auto _ : state) {
+    SimKernel kernel{1};
+    FnSink sink;
+    FlitNetwork net(NetworkConfig{}, 16, 32, kernel,
+                    NetworkHooks{&sink, nullptr, nullptr, nullptr});
+    for (NodeId m = 0; m < 16; ++m) sink.on(memEp(m), [](const Message&) {});
+    for (NodeId p = 0; p < 16; ++p) {
+      for (NodeId m = 0; m < 16; ++m) {
+        Message msg;
+        msg.type = MsgType::WriteBack;
+        msg.src = procEp(p);
+        msg.dst = memEp(m);
+        msg.addr = (Addr{p} * 16 + m) * 32;
+        msg.requester = p;
+        net.send(msg);
+      }
+    }
+    kernel.run();
+    flits += kernel.registry(0).counterValue("flit.transmitted");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(flits));
+}
+BENCHMARK(BM_FlitNetworkAllToAll);
+
+// The generator's region tables scale with the trace length, so build it at
+// the 8M references of a realistic TPC-C trace and restart it when it runs dry.
+constexpr std::uint64_t kTraceRefs = 8'000'000;
+
+void nextRef(TpcGenerator& gen, TraceRecord& r) {
+  if (!gen.next(r)) {
+    gen = TpcGenerator(TpcParams::tpcc(kTraceRefs));
+    gen.next(r);
+  }
+}
+
 void BM_TpcGenerator(benchmark::State& state) {
-  TpcGenerator gen(TpcParams::tpcc(1ull << 40));
+  TpcGenerator gen(TpcParams::tpcc(kTraceRefs));
   TraceRecord r;
   for (auto _ : state) {
-    gen.next(r);
+    nextRef(gen, r);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations());
@@ -82,10 +126,10 @@ void BM_TraceSimAccess(benchmark::State& state) {
   TraceConfig cfg = TraceConfig::paperTable3();
   cfg.switchDir.entries = static_cast<std::uint32_t>(state.range(0));
   TraceSimulator sim(cfg);
-  TpcGenerator gen(TpcParams::tpcc(1ull << 40));
+  TpcGenerator gen(TpcParams::tpcc(kTraceRefs));
   TraceRecord r;
   for (auto _ : state) {
-    gen.next(r);
+    nextRef(gen, r);
     sim.access(r);
   }
   state.SetItemsProcessed(state.iterations());

@@ -1,6 +1,6 @@
-// Slab/arena allocation for hot-path simulation objects (in-flight message
-// state, MSHR map nodes). General-purpose new/delete on these paths costs a
-// malloc round trip per coherence event; the Arena instead carves fixed
+// Slab/arena allocation for hot-path simulation objects (MSHR map nodes).
+// General-purpose new/delete on these paths costs a malloc round trip per
+// coherence event; the Arena instead carves fixed
 // 64 KiB slabs into size-class chunks and recycles freed chunks on per-class
 // free lists, so steady-state allocation is a pointer pop. Each simulation
 // component owns its own Arena (no sharing, no locks) and everything is
@@ -10,8 +10,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 namespace dresar {
@@ -96,8 +96,8 @@ class Arena {
 };
 
 /// Standard-allocator shim over an Arena, for node-based containers on hot
-/// paths (the MSHR map) and allocate_shared'd message state. Copies share the
-/// same Arena; the Arena must outlive every container/object using it.
+/// paths (the MSHR map). Copies share the same Arena; the Arena must outlive
+/// every container using it.
 template <typename T>
 class ArenaAllocator {
  public:
@@ -128,40 +128,6 @@ class ArenaAllocator {
 
  private:
   Arena* arena_;
-};
-
-/// ArenaAllocator variant that co-owns its Arena. For objects whose lifetime
-/// can exceed their allocating component's (e.g. in-flight message state
-/// captured in event-queue closures that drain after the network dies): the
-/// last allocate_shared'd object keeps the Arena alive until it is freed.
-template <typename T>
-class SharedArenaAllocator {
- public:
-  using value_type = T;
-  using propagate_on_container_move_assignment = std::false_type;
-  using is_always_equal = std::false_type;
-
-  explicit SharedArenaAllocator(std::shared_ptr<Arena> a) noexcept : arena_(std::move(a)) {}
-  template <typename U>
-  SharedArenaAllocator(const SharedArenaAllocator<U>& o) noexcept : arena_(o.arena()) {}  // NOLINT
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    arena_->deallocate(p, n * sizeof(T), alignof(T));
-  }
-
-  [[nodiscard]] const std::shared_ptr<Arena>& arena() const noexcept { return arena_; }
-
-  template <typename U>
-  friend bool operator==(const SharedArenaAllocator& a,
-                         const SharedArenaAllocator<U>& b) noexcept {
-    return a.arena_ == b.arena();
-  }
-
- private:
-  std::shared_ptr<Arena> arena_;
 };
 
 }  // namespace dresar

@@ -64,8 +64,8 @@ std::vector<std::string> NetworkConfig::validationErrors() const {
     if (!ok) errs.emplace_back(why);
   };
   require(virtualChannels >= 1, "virtualChannels must be >= 1");
-  // FlitNetwork::inKey packs the VC into 8 bits; a larger count would
-  // silently alias input buffers.
+  // FlitNetwork's arbitration order is (upstream vertex << 8 | vc), so a VC
+  // must fit in 8 bits.
   require(virtualChannels <= 256,
           "virtualChannels must be <= 256 (flit model packs the VC into 8 bits)");
   require(bufferFlits >= 1, "bufferFlits must be >= 1");

@@ -1,6 +1,7 @@
 #include "interconnect/flit_network.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "common/log.h"
@@ -10,9 +11,6 @@
 namespace dresar {
 
 namespace {
-/// Pseudo-upstream id for a switch's own injection port (the paper's extra
-/// input block that grows the crossbar to 10x4).
-constexpr std::uint32_t kInjectUpstream = 0xFFFFFFu;
 /// Same fixed routing-policy seed as the message-level Network.
 constexpr std::uint64_t kRoutingSeed = 0xC0A9E5710B15ull;
 }  // namespace
@@ -23,6 +21,7 @@ FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
     : cfg_(cfg),
       numNodes_(numNodes),
       lineBytes_(lineBytes),
+      vcs_(std::max(1u, cfg.virtualChannels)),
       sched_(kernel.scheduler(0)),
       topo_(numNodes, cfg.switchRadix),
       hooks_(hooks),
@@ -31,6 +30,7 @@ FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
   // SystemConfig::validate rejects flitLevel with simThreads > 1.
   if (kernel.parallel())
     throw std::invalid_argument("FlitNetwork: flit-level model requires simThreads=1");
+  if (cfg_.bufferFlits == 0) throw std::invalid_argument("FlitNetwork: bufferFlits must be >= 1");
   if (hooks_.fault != nullptr && hooks_.fault->linkStall().active()) {
     const LinkStallSpec& s = hooks_.fault->linkStall();
     faultStallFlat_ = topo_.flat(SwitchId{s.stage, s.index});
@@ -38,6 +38,8 @@ FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
   StatRegistry& stats = kernel.registry(0);
   switches_.resize(topo_.totalSwitches());
   endpoints_.resize(2ull * numNodes_);
+  activeNi_.assign((endpoints_.size() + 63) / 64, 0);
+  buildLinks();
   for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
     msgCounters_[t] =
         stats.counterHandle(std::string("net.msgs.") + toString(static_cast<MsgType>(t)));
@@ -58,30 +60,134 @@ FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
 
 FlitNetwork::~FlitNetwork() = default;
 
-FlitNetwork::Link& FlitNetwork::link(std::uint32_t from, std::uint32_t to) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(from) << 32) | to;
-  Link& l = links_[key];
-  if (l.credits.empty()) {
-    const std::uint32_t vcs = std::max(1u, cfg_.virtualChannels);
-    // Credits only matter toward switch input buffers; endpoints sink freely.
-    l.credits.assign(vcs, isSwitchVertex(to) ? cfg_.bufferFlits : 0xFFFFFFu);
+void FlitNetwork::buildLinks() {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  const auto connect = [&edges](std::uint32_t a, std::uint32_t b) {
+    edges.emplace_back(a, b);
+    edges.emplace_back(b, a);
+  };
+  for (NodeId n = 0; n < numNodes_; ++n) {
+    connect(vertexOf(procEp(n)), vertexOf(topo_.procSwitch(n)));
+    connect(vertexOf(memEp(n)), vertexOf(topo_.memSwitch(n)));
   }
+  const std::uint32_t stages = topo_.numStages();
+  const std::uint32_t half = topo_.half();
+  const std::uint32_t perStage = topo_.switchesPerStage();
+  for (std::uint32_t j = 0; j + 1 < stages; ++j) {
+    std::uint32_t weight = 1;  // of digit position k-2-j
+    for (std::uint32_t e = 0; e + 2 + j < stages; ++e) weight *= half;
+    for (std::uint32_t c = 0; c < perStage; ++c) {
+      const std::uint32_t rest = c - (c / weight) % half * weight;
+      for (std::uint32_t d = 0; d < half; ++d) {
+        const std::uint32_t up = rest + d * weight;
+        if (up < perStage) connect(vertexOf(SwitchId{j, c}), vertexOf(SwitchId{j + 1, up}));
+      }
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+  const std::uint32_t vertices = 2 * numNodes_ + topo_.totalSwitches();
+  outBegin_.assign(vertices + 1, 0);
+  links_.reserve(edges.size());
+  credits_.reserve(edges.size() * vcs_);
+  for (const auto& [from, to] : edges) {
+    links_.push_back(Link{to});
+    ++outBegin_[from + 1];
+    // Credits only matter toward switch input buffers; endpoints sink freely.
+    credits_.insert(credits_.end(), vcs_, isSwitchVertex(to) ? cfg_.bufferFlits : 0xFFFFFFu);
+  }
+  for (std::uint32_t v = 0; v < vertices; ++v) outBegin_[v + 1] += outBegin_[v];
+
+  // Input buffers per switch, one per (incoming link, vc), upstream-major:
+  // links_ is sorted by sender, so each switch sees its upstreams in order.
+  std::vector<std::vector<std::uint32_t>> incoming(switches_.size());
+  for (std::uint32_t l = 0; l < links_.size(); ++l) {
+    if (isSwitchVertex(links_[l].to)) incoming[links_[l].to - 2 * numNodes_].push_back(l);
+  }
+  std::uint32_t maxOutputs = 0;
+  for (std::uint32_t flat = 0; flat < switches_.size(); ++flat) {
+    SwitchState& s = switches_[flat];
+    const std::uint32_t v = 2 * numNodes_ + flat;
+    s.stage = topo_.unflat(flat).stage;
+    s.firstOutput = outBegin_[v];
+    maxOutputs = std::max(maxOutputs, outBegin_[v + 1] - outBegin_[v]);
+    s.firstInput = static_cast<std::uint32_t>(inputs_.size());
+    for (const std::uint32_t l : incoming[flat]) {
+      links_[l].input = static_cast<std::uint32_t>(inputs_.size());
+      for (std::uint32_t vc = 0; vc < vcs_; ++vc) inputs_.push_back(InputVc{l, vc});
+    }
+    s.numInputs = static_cast<std::uint32_t>(inputs_.size()) - s.firstInput;
+  }
+  fifos_.resize(inputs_.size() * cfg_.bufferFlits);
+  wants_.assign(maxOutputs, Candidate{});
+  wanted_.reserve(maxOutputs);
+}
+
+std::uint32_t FlitNetwork::findLink(std::uint32_t from, std::uint32_t to) const {
+  for (std::uint32_t l = outBegin_[from]; l < outBegin_[from + 1]; ++l) {
+    if (links_[l].to == to) return l;
+  }
+  return kNone;
+}
+
+std::uint32_t FlitNetwork::linkTo(std::uint32_t from, std::uint32_t to) const {
+  const std::uint32_t l = findLink(from, to);
+  if (l == kNone) throw std::logic_error("FlitNetwork: route uses a link the topology lacks");
   return l;
+}
+
+void FlitNetwork::pushBack(SwitchState& s, std::uint32_t input, const Flit& f) {
+  InputVc& in = inputs_[input];
+  std::uint32_t i = in.front + in.size;
+  if (i >= cfg_.bufferFlits) i -= cfg_.bufferFlits;
+  fifos_[static_cast<std::size_t>(input) * cfg_.bufferFlits + i] = f;
+  ++in.size;
+  ++s.buffered;
+}
+
+FlitNetwork::Flit FlitNetwork::popFront(SwitchState& s, std::uint32_t input) {
+  const Flit f = front(input);
+  InputVc& in = inputs_[input];
+  if (++in.front == cfg_.bufferFlits) in.front = 0;
+  --in.size;
+  --s.buffered;
+  ++credit(in.link, in.vc);
+  return f;
+}
+
+FlitNetwork::MsgState* FlitNetwork::newMsg(Message m, Route route) {
+  MsgState* ms;
+  if (freeMsgs_.empty()) {
+    ms = &msgPool_.emplace_back();
+  } else {
+    ms = freeMsgs_.back();
+    freeMsgs_.pop_back();
+  }
+  ms->route = std::move(route);
+  ms->totalFlits = flitsOf(m);
+  ms->hop = 0;
+  ms->outLink = kNone;
+  ms->snoopedMask = 0;
+  ms->sunk = false;
+  ms->drained = 0;
+  ms->birth = sched_.now();
+  ms->msg = std::move(m);
+  ++sent_;
+  ++live_;
+  ++msgCounters_[static_cast<std::size_t>(ms->msg.type)];
+  return ms;
 }
 
 void FlitNetwork::send(Message m) {
   if (m.id == 0) m.id = nextMsgId_++;
   m.birth = sched_.now();
-  auto ms = std::allocate_shared<MsgState>(SharedArenaAllocator<MsgState>(msgArena_));
-  ms->route = routeOf(m);
-  ms->totalFlits = flitsOf(m);
-  ms->birth = sched_.now();
   const std::uint32_t srcVertex = vertexOf(m.src);
-  ms->msg = std::move(m);
-  ++sent_;
-  ++live_;
-  ++msgCounters_[static_cast<std::size_t>(ms->msg.type)];
-  endpoints_.at(srcVertex).sendQueue.push_back(std::move(ms));
+  Route route = routeOf(m);
+  MsgState* ms = newMsg(std::move(m), std::move(route));
+  EndpointNi& ni = endpoints_.at(srcVertex);
+  if (ni.sendQueue.empty()) activeNi_[srcVertex / 64] |= 1ull << (srcVertex % 64);
+  ni.sendQueue.push_back(ms);
   ensureTicking();
 }
 
@@ -92,9 +198,14 @@ void FlitNetwork::ensureTicking() {
 }
 
 void FlitNetwork::tick() {
-  // Deterministic order: source NIs first, then switches by flat id.
-  for (std::uint32_t v = 0; v < endpoints_.size(); ++v) tickSourceNi(v);
-  for (std::uint32_t s = 0; s < switches_.size(); ++s) tickSwitch(2 * numNodes_ + s);
+  // Deterministic order: source NIs by vertex (only those with something to
+  // send), then switches by flat id.
+  for (std::size_t w = 0; w < activeNi_.size(); ++w) {
+    for (std::uint64_t bits = activeNi_[w]; bits != 0; bits &= bits - 1) {
+      tickSourceNi(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+    }
+  }
+  for (std::uint32_t s = 0; s < switches_.size(); ++s) tickSwitch(s);
   if (live_ > 0) {
     sched_.scheduleIn(1, [this] { tick(); });
   } else {
@@ -104,70 +215,70 @@ void FlitNetwork::tick() {
 
 void FlitNetwork::tickSourceNi(std::uint32_t ev) {
   EndpointNi& ni = endpoints_[ev];
-  if (ni.sendQueue.empty()) return;
-  MsgPtr& ms = ni.sendQueue.front();
-  const std::uint32_t to = [&] {
-    const Hop& h = ms->route.front();
-    return h.kind == Hop::Kind::Switch ? vertexOf(h.sw) : vertexOf(h.ep);
-  }();
-  Link& l = link(ev, to);
-  const std::uint32_t vc = vcOf(ms->msg);
-  if (l.nextFree > sched_.now() || l.credits[vc] == 0) {
+  MsgState* ms = ni.sendQueue.front();
+  const std::uint32_t link = outBegin_[ev];  // an endpoint's only link
+  if (links_[link].nextFree > sched_.now() || credit(link, vcOf(ms->msg)) == 0) {
     ++cong_.sourceCreditStalls;
     return;
   }
-  Flit f{ms, ni.flitsSent};
-  transmit(ev, to, f, /*extraDelay=*/0);
-  ++ni.flitsSent;
-  if (ni.flitsSent == ms->totalFlits) {
+  transmit(link, Flit{ms, ni.flitsSent}, /*extraDelay=*/0);
+  if (++ni.flitsSent == ms->totalFlits) {
     ni.sendQueue.pop_front();
     ni.flitsSent = 0;
+    if (ni.sendQueue.empty()) activeNi_[ev / 64] &= ~(1ull << (ev % 64));
   }
 }
 
-void FlitNetwork::transmit(std::uint32_t from, std::uint32_t to, const Flit& f,
-                           Cycle extraDelay) {
-  Link& l = link(from, to);
+void FlitNetwork::transmit(std::uint32_t link, const Flit& f, Cycle extraDelay) {
+  Link& l = links_[link];
   l.nextFree = sched_.now() + cfg_.linkCyclesPerFlit;
-  const std::uint32_t vc = vcOf(f.ms->msg);
-  if (isSwitchVertex(to)) {
-    if (l.credits[vc] == 0) throw std::logic_error("FlitNetwork: transmit without credit");
-    --l.credits[vc];
+  if (l.input != kNone) {
+    std::uint32_t& c = credit(link, vcOf(f.ms->msg));
+    if (c == 0) throw std::logic_error("FlitNetwork: transmit without credit");
+    --c;
   }
   ++flitsTransmitted_;
   sched_.scheduleIn(cfg_.linkCyclesPerFlit + extraDelay,
-                    [this, to, from, f] { arrive(to, from, f); });
+                    [this, link, f] { arrive(link, f); });
 }
 
-void FlitNetwork::arrive(std::uint32_t atVertex, std::uint32_t fromVertex, Flit f) {
-  if (!isSwitchVertex(atVertex)) {
-    deliver(atVertex, f);
+void FlitNetwork::arrive(std::uint32_t link, Flit f) {
+  const Link& l = links_[link];
+  if (l.input == kNone) {
+    deliver(l.to, f);
     return;
   }
-  SwitchState& s = switches_[atVertex - 2 * numNodes_];
-  // The head flit reaches each switch exactly once; that is the hop event.
-  if (hooks_.tracer != nullptr && f.head() && f.ms->msg.txn != 0) {
-    hooks_.tracer->record(f.ms->msg.txn, TxnEvent::SwitchHop, txnLegOf(f.ms->msg.type),
-                          txnAtSwitch(atVertex - 2 * numNodes_), sched_.now());
+  const std::uint32_t flat = l.to - 2 * numNodes_;
+  MsgState& ms = *f.ms;
+  if (f.head()) {
+    // The head flit reaches each switch exactly once; that is the hop event.
+    if (hooks_.tracer != nullptr && ms.msg.txn != 0) {
+      hooks_.tracer->record(ms.msg.txn, TxnEvent::SwitchHop, txnLegOf(ms.msg.type),
+                            txnAtSwitch(flat), sched_.now());
+    }
+    ms.outLink = linkTo(l.to, vertexOf(ms.route[ms.hop + 1]));
   }
-  const std::uint32_t vc = vcOf(f.ms->msg);
-  s.inputs[inKey(fromVertex, vc)].fifo.push_back(std::move(f));
+  pushBack(switches_[flat], l.input + vcOf(ms.msg), f);
 }
 
 void FlitNetwork::deliver(std::uint32_t epVertex, const Flit& f) {
   if (!f.tail()) return;  // wormhole per-VC ordering: tail implies complete
   --live_;
-  if (hooks_.fault != nullptr && FaultInjector::eligible(f.ms->msg)) {
-    if (hooks_.fault->shouldDrop(f.ms->msg)) {
-      DRESAR_LOG_TRACE("flit: fault drop %s", f.ms->msg.describe().c_str());
+  MsgState* ms = f.ms;
+  if (hooks_.fault != nullptr && FaultInjector::eligible(ms->msg)) {
+    if (hooks_.fault->shouldDrop(ms->msg)) {
+      DRESAR_LOG_TRACE("flit: fault drop %s", ms->msg.describe().c_str());
+      freeMsg(ms);
       return;
     }
-    if (const Cycle d = hooks_.fault->deliveryDelay(f.ms->msg); d > 0) {
-      sched_.scheduleIn(d, [this, epVertex, m = f.ms->msg] { deliverMsg(epVertex, m); });
+    if (const Cycle d = hooks_.fault->deliveryDelay(ms->msg); d > 0) {
+      sched_.scheduleIn(d, [this, epVertex, m = ms->msg] { deliverMsg(epVertex, m); });
+      freeMsg(ms);
       return;
     }
   }
-  deliverMsg(epVertex, f.ms->msg);
+  deliverMsg(epVertex, ms->msg);
+  freeMsg(ms);
 }
 
 void FlitNetwork::deliverMsg(std::uint32_t epVertex, const Message& m) {
@@ -204,82 +315,63 @@ Route FlitNetwork::spawnRouteOf(SwitchId from, const Message& m) {
 }
 
 std::uint64_t FlitNetwork::routeCongestion(const Route& r, std::uint32_t srcVertex,
-                                           std::uint32_t vc) {
+                                           std::uint32_t vc) const {
   // Credit debt (flits parked in the downstream buffer) plus residual link
   // serialization along the candidate — the queueing an injected head flit
-  // would stream into right now. Reads existing link state only; probing a
-  // candidate must not materialize Link entries.
+  // would stream into right now. An untouched link (free, full credits)
+  // costs nothing.
   std::uint64_t cost = 0;
   const Cycle now = sched_.now();
   std::uint32_t from = srcVertex;
   for (const Hop& h : r) {
-    const std::uint32_t to =
-        h.kind == Hop::Kind::Switch ? vertexOf(h.sw) : vertexOf(h.ep);
-    const auto it = links_.find((static_cast<std::uint64_t>(from) << 32) | to);
-    if (it != links_.end()) {
-      const Link& l = it->second;
-      if (l.nextFree > now) cost += l.nextFree - now;
-      if (isSwitchVertex(to) && !l.credits.empty())
-        cost += cfg_.bufferFlits - std::min(cfg_.bufferFlits, l.credits[vc]);
+    const std::uint32_t to = vertexOf(h);
+    if (const std::uint32_t l = findLink(from, to); l != kNone) {
+      if (links_[l].nextFree > now) cost += links_[l].nextFree - now;
+      if (links_[l].input != kNone) {
+        cost += cfg_.bufferFlits -
+                std::min(cfg_.bufferFlits, credits_[static_cast<std::size_t>(l) * vcs_ + vc]);
+      }
     }
     from = to;
   }
   return cost;
 }
 
-void FlitNetwork::grabLock(SwitchState& s, std::uint32_t output, std::uint64_t key) {
-  s.outputLock[output] = key;
-  s.lockSince.emplace(output, sched_.now());
+void FlitNetwork::grabLock(Link& out, std::uint32_t owner) {
+  if (out.lockOwner == kNone) out.lockSince = sched_.now();
+  out.lockOwner = owner;
 }
 
-void FlitNetwork::releaseLock(SwitchState& s, std::uint32_t output) {
-  const auto it = s.lockSince.find(output);
-  if (it != s.lockSince.end()) {
-    const auto held = static_cast<double>(sched_.now() - it->second);
+void FlitNetwork::releaseLock(Link& out) {
+  if (out.lockOwner != kNone) {
+    const auto held = static_cast<double>(sched_.now() - out.lockSince);
     cong_.lockHold.add(held);
     cong_.lockHoldHist.add(held);
-    s.lockSince.erase(it);
   }
-  s.outputLock.erase(output);
+  out.lockOwner = kNone;
 }
 
-bool FlitNetwork::maybeSnoop(std::uint32_t sv, InputVc& in) {
-  Flit& f = in.fifo.front();
-  if (!f.head() || hooks_.snoop == nullptr) return !f.ms->sunk;
-  const std::uint32_t flat = sv - 2 * numNodes_;
+bool FlitNetwork::maybeSnoop(std::uint32_t flat, std::uint32_t input) {
+  const Flit& f = front(input);
+  MsgState& ms = *f.ms;
+  if (!f.head() || hooks_.snoop == nullptr) return !ms.sunk;
   // Key the mask by this switch's hop index on the route (a route never
   // revisits a switch), so 64 bits cover any geometry's switch count.
-  std::size_t hopIdx = f.ms->route.size();
-  for (std::size_t i = 0; i < f.ms->route.size(); ++i) {
-    const Hop& h = f.ms->route[i];
-    if (h.kind == Hop::Kind::Switch && vertexOf(h.sw) == sv) {
-      hopIdx = i;
-      break;
-    }
-  }
-  if (hopIdx == f.ms->route.size())
-    throw std::logic_error("FlitNetwork: snooping switch is not on the route");
-  if (f.ms->snoopedMask & (1ull << hopIdx)) return !f.ms->sunk;
-  f.ms->snoopedMask |= 1ull << hopIdx;
-  std::vector<Message> spawn;
-  const SnoopOutcome out =
-      hooks_.snoop->onMessage(switchOf(sv), sched_.now(), f.ms->msg, spawn);
-  for (auto& m : spawn) {
+  const std::uint64_t bit = 1ull << ms.hop;
+  if (ms.snoopedMask & bit) return !ms.sunk;
+  ms.snoopedMask |= bit;
+  const SwitchId sw = topo_.unflat(flat);
+  spawn_.clear();
+  const SnoopOutcome out = hooks_.snoop->onMessage(sw, sched_.now(), ms.msg, spawn_);
+  for (Message& m : spawn_) {
     if (m.id == 0) m.id = nextMsgId_++;
     m.birth = sched_.now();
-    auto ms = std::allocate_shared<MsgState>(SharedArenaAllocator<MsgState>(msgArena_));
-    ms->route = spawnRouteOf(switchOf(sv), m);
-    ms->totalFlits = flitsOf(m);
-    ms->birth = sched_.now();
-    ms->msg = std::move(m);
-    ++sent_;
-    ++live_;
-    ++msgCounters_[static_cast<std::size_t>(ms->msg.type)];
+    Route route = spawnRouteOf(sw, m);
+    switches_[flat].injectQueue.push_back(newMsg(std::move(m), std::move(route)));
     ++switchInjected_;
-    switches_[flat].injectQueue.push_back(std::move(ms));
   }
   if (!out.pass) {
-    f.ms->sunk = true;
+    ms.sunk = true;
     ++sunk_;
     ++sunkCounter_;
     return false;
@@ -287,147 +379,125 @@ bool FlitNetwork::maybeSnoop(std::uint32_t sv, InputVc& in) {
   return true;
 }
 
-void FlitNetwork::tickSwitch(std::uint32_t sv) {
-  const std::uint32_t flat = sv - 2 * numNodes_;
+void FlitNetwork::consider(const SwitchState& s, std::uint32_t output, std::uint32_t owner,
+                           Cycle age) {
+  // Wormhole: a locked output only accepts its owner.
+  const std::uint32_t lock = links_[s.firstOutput + output].lockOwner;
+  if (lock != kNone && lock != owner) return;
+  Candidate& c = wants_[output];
+  if (c.owner == kNone) {
+    wanted_.push_back(output);
+    c = Candidate{owner, age};
+  } else if (age < c.age || (age == c.age && owner < c.owner)) {
+    c = Candidate{owner, age};
+  }
+}
+
+void FlitNetwork::tickSwitch(std::uint32_t flat) {
   SwitchState& s = switches_[flat];
 
-  // Occupancy sample first, even on stalled ticks: a frozen switch's filling
-  // buffers are exactly what the saturation telemetry should show.
-  {
-    std::uint64_t buffered = 0;
-    for (const auto& [key, in] : s.inputs) buffered += in.fifo.size();
-    const std::uint32_t stage = switchOf(sv).stage;
-    cong_.stageOccupancy[stage].add(static_cast<double>(buffered));
-    cong_.stageOccupancyHist[stage].add(static_cast<double>(buffered));
-  }
+  // Occupancy sample first, on every tick: idle and frozen switches too. A
+  // frozen switch's filling buffers are exactly what the saturation
+  // telemetry should show.
+  cong_.stageOccupancy[s.stage].add(static_cast<double>(s.buffered));
+  cong_.stageOccupancyHist[s.stage].add(static_cast<double>(s.buffered));
 
   // A stalled switch freezes entirely for the window: no snoops, no grants.
   // Input buffers fill and credit backpressure propagates upstream, exactly
-  // the transient a misbehaving physical switch would cause.
+  // the transient a misbehaving physical switch would cause. The check runs
+  // before the idle return: every stalled cycle is counted.
   if (flat == faultStallFlat_ && hooks_.fault->stallTickSkipped(sched_.now())) return;
+
+  if (s.buffered == 0 && s.injectQueue.empty()) return;  // idle: nothing to arbitrate
 
   // Pass 1: drain flits of sunk messages and run pending head snoops; then
   // collect, per requested output, the oldest eligible candidate.
-  struct Candidate {
-    std::uint64_t inputKey = 0;
-    bool fromInject = false;
-    Cycle age = kNoCycle;
-  };
-  std::map<std::uint32_t, Candidate> wants;  // output vertex -> best candidate
-
-  auto consider = [&](std::uint32_t output, std::uint64_t key, bool inject, Cycle age) {
-    // Wormhole: a locked output only accepts its owner.
-    auto lockIt = s.outputLock.find(output);
-    if (lockIt != s.outputLock.end() && lockIt->second != key) return;
-    auto [it, inserted] = wants.try_emplace(output, Candidate{key, inject, age});
-    if (!inserted && (age < it->second.age ||
-                      (age == it->second.age && key < it->second.inputKey))) {
-      it->second = Candidate{key, inject, age};
-    }
-  };
-
-  for (auto& [key, in] : s.inputs) {
-    // Drain everything a sink consumed (credits flow back upstream).
-    while (!in.fifo.empty() && in.fifo.front().ms->sunk) {
-      const Flit f = in.fifo.front();
-      in.fifo.pop_front();
-      const auto upstream = static_cast<std::uint32_t>(key >> 8);
-      ++link(upstream, sv).credits[vcOf(f.ms->msg)];
+  for (const std::uint32_t o : wanted_) wants_[o] = Candidate{};
+  wanted_.clear();
+  for (std::uint32_t input = s.firstInput; input < s.firstInput + s.numInputs; ++input) {
+    InputVc& in = inputs_[input];
+    // Drain everything a sink consumed (credits flow back upstream). Flits of
+    // a sunk message drain at whichever buffer front they reach first.
+    while (in.size != 0 && front(input).ms->sunk) {
+      const Flit f = popFront(s, input);
       if (f.tail()) --live_;  // the whole message has now been consumed
+      if (++f.ms->drained == f.ms->totalFlits) freeMsg(f.ms);
     }
-    if (in.fifo.empty()) continue;
-    if (!maybeSnoop(sv, in)) continue;  // sunk this cycle; drained next
-    const Flit& f = in.fifo.front();
-    std::uint32_t output;
-    if (f.head()) {
-      // Resolve the hop that follows this switch on the message's route.
-      output = 0xFFFFFFFFu;
-      const Route& r = f.ms->route;
-      for (std::size_t i = 0; i < r.size(); ++i) {
-        if (r[i].kind == Hop::Kind::Switch && vertexOf(r[i].sw) == sv) {
-          const Hop& nh = r[i + 1];
-          output = nh.kind == Hop::Kind::Switch ? vertexOf(nh.sw) : vertexOf(nh.ep);
-          break;
-        }
-      }
-      if (output == 0xFFFFFFFFu) throw std::logic_error("FlitNetwork: switch not on route");
-    } else {
-      output = in.lockedOutput;
-    }
-    consider(output, key, false, f.ms->birth);
+    if (in.size == 0) continue;
+    if (!maybeSnoop(flat, input)) continue;  // sunk this cycle; drained next
+    const Flit& f = front(input);
+    const std::uint32_t output = f.head() ? f.ms->outLink : in.lockedOutput;
+    consider(s, output - s.firstOutput, input, f.ms->birth);
   }
 
   // The injection port competes like any other input.
   if (!s.injectQueue.empty()) {
-    const MsgPtr& ms = s.injectQueue.front();
-    const Hop& h = ms->route.front();
-    const std::uint32_t output =
-        h.kind == Hop::Kind::Switch ? vertexOf(h.sw) : vertexOf(h.ep);
-    consider(output, inKey(kInjectUpstream, vcOf(ms->msg)), true, ms->birth);
+    const MsgState& ms = *s.injectQueue.front();
+    if (s.injectFlitsSent == 0) {
+      s.injectLink = linkTo(2 * numNodes_ + flat, vertexOf(ms.route.front()));
+    }
+    consider(s, s.injectLink - s.firstOutput, kInjectOwner + vcOf(ms.msg), ms.birth);
   }
 
   // Pass 2: grant up to four outputs this cycle, oldest first (paper 4.1).
-  std::vector<std::pair<std::uint32_t, Candidate>> grants(wants.begin(), wants.end());
-  std::sort(grants.begin(), grants.end(), [](const auto& a, const auto& b) {
-    if (a.second.age != b.second.age) return a.second.age < b.second.age;
-    return a.first < b.first;
+  // Output ports are in downstream-vertex order, which breaks age ties.
+  std::sort(wanted_.begin(), wanted_.end(), [this](std::uint32_t a, std::uint32_t b) {
+    if (wants_[a].age != wants_[b].age) return wants_[a].age < wants_[b].age;
+    return a < b;
   });
   std::uint32_t granted = 0;
-  for (const auto& [output, cand] : grants) {
+  for (const std::uint32_t output : wanted_) {
     if (granted >= 4) break;
+    const Candidate& cand = wants_[output];
+    const std::uint32_t link = s.firstOutput + output;
+    Link& out = links_[link];
     // Link and credit availability.
-    Link& l = link(sv, output);
-    if (l.nextFree > sched_.now()) {
+    if (out.nextFree > sched_.now()) {
       ++cong_.linkBusySkips;
       continue;
     }
 
-    if (cand.fromInject) {
-      MsgPtr ms = s.injectQueue.front();
-      const std::uint32_t vc = vcOf(ms->msg);
-      if (isSwitchVertex(output) && l.credits[vc] == 0) {
+    if (cand.owner >= kInjectOwner) {
+      MsgState* ms = s.injectQueue.front();
+      if (out.input != kNone && credit(link, vcOf(ms->msg)) == 0) {
         ++cong_.creditStallCycles;
         ++cong_.perSwitchCreditStalls[flat];
         continue;
       }
-      Flit f{ms, s.injectFlitsSent};
+      const Flit f{ms, s.injectFlitsSent};
       // Lock while the message streams out.
-      if (f.head()) grabLock(s, output, cand.inputKey);
-      transmit(sv, output, f, cfg_.coreDelay);
+      if (f.head()) grabLock(out, cand.owner);
+      transmit(link, f, cfg_.coreDelay);
       ++s.injectFlitsSent;
       ++granted;
       if (f.tail()) {
-        releaseLock(s, output);
+        releaseLock(out);
         s.injectQueue.pop_front();
         s.injectFlitsSent = 0;
       }
       continue;
     }
 
-    InputVc& in = s.inputs[cand.inputKey];
-    if (in.fifo.empty()) continue;
-    Flit f = in.fifo.front();
-    const std::uint32_t vc = vcOf(f.ms->msg);
-    if (isSwitchVertex(output) && l.credits[vc] == 0) {
+    InputVc& in = inputs_[cand.owner];
+    if (in.size == 0) continue;
+    if (out.input != kNone && credit(link, in.vc) == 0) {
       ++cong_.creditStallCycles;
       ++cong_.perSwitchCreditStalls[flat];
       continue;
     }
-    in.fifo.pop_front();
-    // Credit back to the upstream sender.
-    const auto upstream = static_cast<std::uint32_t>(cand.inputKey >> 8);
-    ++link(upstream, sv).credits[vcOf(f.ms->msg)];
+    const Flit f = popFront(s, cand.owner);
     if (f.head()) {
-      grabLock(s, output, cand.inputKey);
-      in.lockedOutput = output;
+      grabLock(out, cand.owner);
+      in.lockedOutput = link;
+      ++f.ms->hop;
     }
     const bool tail = f.tail();
-    transmit(sv, output, f, cfg_.coreDelay);
+    transmit(link, f, cfg_.coreDelay);
     ++granted;
     ++flitGrants_;
     if (tail) {
-      releaseLock(s, output);
-      in.lockedOutput = InputVc::kNoOutput;
+      releaseLock(out);
+      in.lockedOutput = kNone;
     }
   }
 }

@@ -1,5 +1,8 @@
 #include "trace/tpc_gen.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace dresar {
 
 namespace {
@@ -15,11 +18,16 @@ namespace {
 // Region sizes are calibrated at 2M references; scaling them with the trace
 // length keeps the Figure 1/2 ratios (dirty fraction, block-count
 // concentration) length-invariant — cold misses stay proportional to reuse
-// misses.
+// misses. A size past 32 bits throws: the tables it would size are indexed
+// by uint32_t and could never be allocated anyway.
 std::uint32_t scaled(std::uint32_t at2M, std::uint64_t refs, std::uint32_t floor) {
   const double f = static_cast<double>(refs) / 2'000'000.0;
-  const auto v = static_cast<std::uint32_t>(static_cast<double>(at2M) * f);
-  return std::max(v, floor);
+  const double v = static_cast<double>(at2M) * f;
+  if (!(v < 4294967296.0)) {
+    throw std::invalid_argument("TpcParams: " + std::to_string(refs) +
+                                " references scale a block table past 2^32 entries");
+  }
+  return std::max(static_cast<std::uint32_t>(v), floor);
 }
 }  // namespace
 

@@ -42,7 +42,8 @@ struct TpcParams {
   double zipfPrivate = 0.35;
   std::uint64_t seed = 0x7357'c0de;
 
-  /// OLTP profile (Figure 1: ~38% dirty reads).
+  /// OLTP profile (Figure 1: ~38% dirty reads). Region sizes scale with
+  /// `refs`; throws std::invalid_argument when one would pass 2^32 blocks.
   static TpcParams tpcc(std::uint64_t refs);
   /// DSS profile (Figure 1: ~62% dirty reads).
   static TpcParams tpcd(std::uint64_t refs);

@@ -144,6 +144,64 @@ TEST(FlitCongestion, LinkStallTreeFormsUpstreamAndDrains) {
   EXPECT_GT(ct->stageOccupancy[1].max(), 0.0);
 }
 
+// Every switch records exactly one occupancy sample per network tick, busy
+// or idle, so the stage histograms describe time and not just activity. The
+// tick is the only event besides flit arrivals here (no snoop, no fault
+// delay), so ticks = executed events - transmitted flits.
+TEST(FlitCongestion, EverySwitchSamplesOccupancyEveryTick) {
+  SimKernel kernel{1};
+  NetworkConfig cfg;
+  FnSink sink;
+  FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, nullptr});
+  sink.on(memEp(0), [](const Message&) {});
+  sink.on(memEp(13), [](const Message&) {});
+  // Two bursts with an idle gap between them, so the tick stops and re-arms;
+  // most switches never see a flit (only procs 0..3 and memories 0..3 / 12..15).
+  for (NodeId p = 0; p < 4; ++p) net.send(wb(p, 0, 0x100 + 0x40ull * p));
+  kernel.run();
+  net.send(wb(2, 13, 0x900));
+  kernel.run();
+  EXPECT_EQ(net.inFlight(), 0u);
+
+  const std::uint64_t transmitted = kernel.registry(0).counterValue("flit.transmitted");
+  const std::uint64_t ticks = kernel.executedEvents() - transmitted;
+  ASSERT_GT(transmitted, 0u);
+  ASSERT_GT(ticks, 0u);
+  const CongestionTelemetry* ct = net.congestion();
+  ASSERT_NE(ct, nullptr);
+  const Butterfly& topo = net.topology();
+  ASSERT_EQ(ct->stageOccupancy.size(), topo.numStages());
+  for (std::size_t s = 0; s < ct->stageOccupancy.size(); ++s) {
+    EXPECT_EQ(ct->stageOccupancy[s].count(), topo.switchesPerStage() * ticks) << "stage " << s;
+    EXPECT_EQ(ct->stageOccupancyHist[s].total(), topo.switchesPerStage() * ticks);
+  }
+}
+
+// A stall window on a switch that no message crosses still charges every
+// stalled cycle: the fault check runs on idle switches too.
+TEST(FlitCongestion, LinkStallOnUntouchedSwitchCountsEveryCycle) {
+  SimKernel kernel{1};
+  NetworkConfig cfg;
+  cfg.bufferFlits = 1;
+  FaultPlan plan;
+  // Traffic to memory 0 climbs through stage-1 switch 0 only; switch 3 of
+  // stage 1 fronts memories 12..15 and stays untouched.
+  plan.linkStall = LinkStallSpec{/*stage=*/1, /*index=*/3, /*startCycle=*/10,
+                                 /*lengthCycles=*/50};
+  FaultInjector inj(plan, kernel.registry(0));
+  FnSink sink;
+  FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, &inj});
+  Cycle lastDelivery = 0;
+  sink.on(memEp(0), [&](const Message&) { lastDelivery = kernel.now(); });
+  for (NodeId p = 0; p < 16; ++p) net.send(wb(p, 0, 0x100 + 0x40ull * p));
+  kernel.run();
+
+  // The network stayed live across the whole window, so every cycle of it
+  // was counted as stalled.
+  ASSERT_GT(lastDelivery, Cycle{60});
+  EXPECT_EQ(kernel.registry(0).counterValue("fault.injected_stall_cycles"), 50u);
+}
+
 TEST(SystemCongestion, HotspotAndIncastAnnotateOfferedAndAcceptedLoad) {
   for (const char* profile : {"hotspot", "incast"}) {
     SystemConfig cfg;

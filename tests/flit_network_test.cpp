@@ -5,10 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iomanip>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/scheduler.h"
 #include "common/stats.h"
+#include "fault/fault_plan.h"
+#include "fault/injector.h"
 #include "sim/metrics.h"
 #include "sim/system.h"
 #include "workloads/workload.h"
@@ -118,6 +126,16 @@ TEST(FlitNetwork, TinyBuffersStillDrainViaCredits) {
   EXPECT_EQ(net.inFlight(), 0u);
 }
 
+TEST(FlitNetwork, RejectsZeroBufferFlits) {
+  // A zero-depth input buffer could never accept a flit.
+  SimKernel kernel{1};
+  NetworkConfig cfg;
+  cfg.bufferFlits = 0;
+  FnSink sink;
+  EXPECT_THROW(FlitNetwork(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, nullptr}),
+               std::invalid_argument);
+}
+
 class HeadSnoop : public ISwitchSnoop {
  public:
   SnoopOutcome onMessage(SwitchId sw, Cycle, Message& m, std::vector<Message>& spawn) override {
@@ -205,6 +223,170 @@ TEST(FlitNetwork, FullSystemMatchesMessageLevelProtocol) {
   const double execRatio = static_cast<double>(flit.execTime) / static_cast<double>(msg.execTime);
   EXPECT_GT(execRatio, 0.5);
   EXPECT_LT(execRatio, 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden scenario. Pins the flit model's exact behaviour — delivery order and
+// cycle, every flit.* / net.* statistic, the congestion telemetry and the
+// executed event count — on a mix that reaches every FlitNetwork path:
+// adaptive turnaround routing, a snoop that sinks requests and spawns
+// replies through the injection port (five-flit data replies, and
+// notifications with a free turnaround digit), one-flit buffers and a
+// link-stall window. A pure
+// performance change to FlitNetwork must leave the digest untouched; a
+// deliberate behaviour change re-pins it and says so.
+
+class GoldenSnoop : public ISwitchSnoop {
+ public:
+  SnoopOutcome onMessage(SwitchId sw, Cycle, Message& m, std::vector<Message>& spawn) override {
+    const Addr block = m.addr / 64;
+    if (sw.stage == 0 && m.type == MsgType::ReadRequest && block % 7 == 0) {
+      // Pass, and notify a processor in another cluster: a switch->proc
+      // turnaround with four candidate digits under adaptive routing.
+      spawn.push_back(reply(MsgType::Retry, m, (m.requester + 5) % 16));
+      return {};
+    }
+    if (sw.stage == 1 && m.type == MsgType::ReadRequest && block % 5 == 0) {
+      // Sink and answer with data. Only header-only messages are sunk, as
+      // in the protocol: requests carry no data.
+      spawn.push_back(reply(MsgType::ReadReply, m, m.requester));
+      return {false, 0};
+    }
+    return {};
+  }
+
+ private:
+  static Message reply(MsgType t, const Message& m, NodeId to) {
+    Message r;
+    r.type = t;
+    r.src = m.src;
+    r.dst = procEp(to);
+    r.addr = m.addr;
+    r.requester = m.requester;
+    r.marked = true;
+    return r;
+  }
+};
+
+// Recorded on the map-based FlitNetwork this scenario was introduced with.
+constexpr std::size_t kGoldenDeliveries = 370;
+constexpr Cycle kGoldenFinalCycle = 1493;
+constexpr std::uint64_t kGoldenEvents = 6672;
+constexpr const char* kGoldenDigest = "83496605bbc00f9d";
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+void put(std::ostringstream& os, const char* tag, const Sampler& s) {
+  os << tag << ' ' << s.count() << ' ' << s.sum() << ' ' << s.min() << ' ' << s.max() << '\n';
+}
+
+void put(std::ostringstream& os, const char* tag, const Histogram& h) {
+  os << tag << ' ' << h.total() << ' ' << h.underflowCount();
+  for (const std::uint64_t b : h.buckets()) os << ' ' << b;
+  os << '\n';
+}
+
+struct GoldenRun {
+  std::string text;
+  std::size_t deliveries = 0;
+  Cycle finalCycle = 0;
+  std::uint64_t events = 0;
+};
+
+GoldenRun runGoldenScenario() {
+  SimKernel kernel{1};
+  NetworkConfig cfg;
+  cfg.routing = "adaptive";
+  cfg.bufferFlits = 1;
+  FaultPlan plan;
+  plan.linkStall = LinkStallSpec{/*stage=*/1, /*index=*/2, /*startCycle=*/150,
+                                 /*lengthCycles=*/120};
+  FaultInjector inj(plan, kernel.registry(0));
+  GoldenSnoop snoop;
+  FnSink sink;
+  FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, &snoop, nullptr, &inj});
+
+  std::ostringstream os;
+  os << std::setprecision(17);
+  GoldenRun g;
+  for (NodeId n = 0; n < 16; ++n) {
+    for (const Endpoint ep : {procEp(n), memEp(n)}) {
+      sink.on(ep, [&, ep](const Message& m) {
+        ++g.deliveries;
+        os << "D " << kernel.now() << ' ' << toString(ep) << ' ' << m.id << ' '
+           << toString(m.type) << ' ' << m.addr << ' ' << m.birth << '\n';
+      });
+    }
+  }
+
+  Rng rng(2024);
+  Scheduler& sched = kernel.scheduler(0);
+  for (int i = 0; i < 360; ++i) {
+    const auto at = static_cast<Cycle>(rng.below(500));
+    const auto a = static_cast<NodeId>(rng.below(16));
+    auto b = static_cast<NodeId>(rng.below(16));
+    Message m;
+    m.addr = rng.below(4096) * 64;
+    switch (rng.below(4)) {
+      case 0: m = mkMsg(MsgType::ReadRequest, procEp(a), memEp(b), m.addr); break;
+      case 1: m = mkMsg(MsgType::WriteBack, procEp(a), memEp(b), m.addr); break;
+      case 2:
+        m = mkMsg(MsgType::ReadReply, memEp(b), procEp(a), m.addr);
+        m.requester = a;
+        break;
+      default:
+        if (b == a) b = (a + 1) % 16;
+        m = mkMsg(MsgType::CtoCReply, procEp(a), procEp(b), m.addr);
+        break;
+    }
+    sched.scheduleAt(at, [&net, m] { net.send(m); });
+  }
+  kernel.run();
+  EXPECT_EQ(net.inFlight(), 0u);
+
+  const StatRegistry& stats = kernel.registry(0);
+  for (const auto& [name, v] : stats.counters()) {
+    if (name.rfind("flit.", 0) == 0 || name.rfind("net.", 0) == 0)
+      os << "C " << name << ' ' << v << '\n';
+  }
+  for (const auto& [name, s] : stats.samplers()) {
+    if (name.rfind("net.", 0) == 0) put(os, ("S " + name).c_str(), s);
+  }
+  os << "F " << stats.counterValue("fault.injected_stall_cycles") << '\n';
+  const CongestionTelemetry& ct = *net.congestion();
+  os << "T " << ct.creditStallCycles << ' ' << ct.linkBusySkips << ' '
+     << ct.sourceCreditStalls << '\n';
+  for (const std::uint64_t v : ct.perSwitchCreditStalls) os << "P " << v << '\n';
+  for (std::size_t s = 0; s < ct.stageOccupancy.size(); ++s) {
+    put(os, "O", ct.stageOccupancy[s]);
+    put(os, "OH", ct.stageOccupancyHist[s]);
+  }
+  put(os, "L", ct.lockHold);
+  put(os, "LH", ct.lockHoldHist);
+  g.finalCycle = kernel.now();
+  g.events = kernel.executedEvents();
+  os << "E " << g.finalCycle << ' ' << g.events << ' ' << net.messagesSent() << ' '
+     << net.messagesSunk() << '\n';
+  g.text = os.str();
+  return g;
+}
+
+TEST(FlitNetworkGolden, ScenarioDigestIsPinned) {
+  const GoldenRun g = runGoldenScenario();
+  // Summary figures first, so a mismatch says roughly what moved.
+  EXPECT_EQ(g.deliveries, kGoldenDeliveries);
+  EXPECT_EQ(g.finalCycle, kGoldenFinalCycle);
+  EXPECT_EQ(g.events, kGoldenEvents);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(fnv1a(g.text)));
+  EXPECT_EQ(std::string(hex), kGoldenDigest) << g.text;
 }
 
 }  // namespace

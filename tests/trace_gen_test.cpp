@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "trace/trace_sim.h"
@@ -19,6 +20,19 @@ TEST(TpcGenerator, EmitsExactlyRefs) {
   while (gen.next(r)) ++n;
   EXPECT_EQ(n, 10000u);
   EXPECT_FALSE(gen.next(r));
+}
+
+TEST(TpcGenerator, OversizedReferenceCountThrows) {
+  // 2^40 references would scale the hot/warm/private tables past 2^32
+  // entries; that must fail loudly instead of truncating or exhausting memory.
+  EXPECT_THROW(TpcParams::tpcc(1ull << 40), std::invalid_argument);
+  EXPECT_THROW(TpcParams::tpcd(1ull << 40), std::invalid_argument);
+  // In-range sizes are unchanged: the 2M calibration point keeps its tables.
+  const TpcParams p = TpcParams::tpcc(2'000'000);
+  EXPECT_EQ(p.hotBlocks, TpcParams{}.hotBlocks);
+  EXPECT_EQ(p.warmBlocks, TpcParams{}.warmBlocks);
+  EXPECT_EQ(p.privatePerProc, TpcParams{}.privatePerProc);
+  EXPECT_NO_THROW(TpcParams::tpcc(8'000'000));
 }
 
 TEST(TpcGenerator, Deterministic) {
