@@ -77,7 +77,7 @@ void BM_FlitNetworkAllToAll(benchmark::State& state) {
   // are flit link traversals.
   std::uint64_t flits = 0;
   for (auto _ : state) {
-    SimKernel kernel{1};
+    SimKernel kernel;
     FnSink sink;
     FlitNetwork net(NetworkConfig{}, 16, 32, kernel,
                     NetworkHooks{&sink, nullptr, nullptr, nullptr});
@@ -94,7 +94,7 @@ void BM_FlitNetworkAllToAll(benchmark::State& state) {
       }
     }
     kernel.run();
-    flits += kernel.registry(0).counterValue("flit.transmitted");
+    flits += kernel.registry().counterValue("flit.transmitted");
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(flits));
 }

@@ -70,16 +70,6 @@ class EventQueue {
   /// Returns true if the queue drained (normal completion).
   bool run(Cycle limit = kNoCycle);
 
-  /// Run every event with cycle < `end`, then stop (the window step of the
-  /// sharded kernel). now() is left at the last executed cycle, not `end`:
-  /// cross-shard events drained at the barrier may still target cycles in
-  /// (now, end) and must remain schedulable.
-  void runUntil(Cycle end);
-
-  /// Earliest pending cycle, or kNoCycle if the queue is empty (what the
-  /// sharded kernel publishes at window barriers to plan the next window).
-  [[nodiscard]] Cycle nextCycle() const { return nextEventCycle(); }
-
   /// Run while `keepGoing` returns true (checked between events) and events
   /// remain. Returns true if stopped because `keepGoing` became false.
   bool runWhile(const std::function<bool()>& keepGoing, Cycle limit = kNoCycle);

@@ -1,33 +1,17 @@
 // The simulation kernel behind the Scheduler facade.
 //
-// Components never touch an EventQueue directly anymore: they schedule
-// through a Scheduler, a thin shard-bound facade whose single-shard path
-// compiles down to the same calendar-queue operations as before (the
-// `simThreads=1` output is byte-identical to the historical single-queue
-// kernel, CI cmp-gated). The facade is what makes intra-run parallelism
-// expressible at all — a raw `EventQueue&` cannot say *which* calendar an
-// event belongs to, while `Scheduler::post(shard, ...)` can.
-//
-// Parallel mode (simThreads > 1) shards the kernel Graphite-style
-// (sim_thread_manager / per-thread event heaps with a barrier clock-sync
-// window): every shard owns one EventQueue and executes a fixed window of
-// cycles [W_k, W_k+quantum) independently; cross-shard events accumulate in
-// per-(src,dst) outboxes and are drained at the next window barrier in
-// deterministic (cycle, src-shard, seq) order — the Li & An-style static
-// priority that makes same-cycle cross-shard conflicts resolve identically
-// regardless of thread interleaving. A drained event whose stamp already
-// passed on the destination shard is clamped forward to the destination's
-// clock, so parallel timing may skew by at most one window per crossing
-// (bounded-lag approximation); protocol behaviour is unaffected and
-// aggregate stats are gated against the sequential run within tolerance.
+// Components never touch an EventQueue directly: they schedule through a
+// Scheduler, a thin facade over the kernel's one calendar queue. Every
+// simulation runs on exactly one EventQueue on the thread that calls run();
+// host parallelism lives one level up, across independent runs
+// (`dresar-sweep --jobs=N`), where it is byte-identical and needs no
+// synchronization inside a run. DESIGN.md "Threading model" records the
+// measurement behind that choice.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <vector>
+#include <utility>
 
 #include "common/event_queue.h"
 #include "common/stats.h"
@@ -35,188 +19,65 @@
 
 namespace dresar {
 
-/// Index of a kernel shard. Shard 0 always exists and is the "root" shard
-/// (single-threaded runs execute entirely on it).
-using ShardId = std::uint32_t;
-
-class SimKernel;
-
-/// Shard-bound scheduling facade handed to every component. Same-shard
-/// operations forward straight to the shard's calendar queue (identical
-/// semantics and ordering to the pre-facade kernel); cross-shard posts go
-/// through the kernel's mailboxes.
+/// Scheduling facade handed to every component: the clock plus absolute and
+/// relative scheduling, forwarded straight to the kernel's calendar queue.
 class Scheduler {
  public:
-  Scheduler(SimKernel& kernel, ShardId shard, EventQueue& q)
-      : kernel_(kernel), shard_(shard), q_(q) {}
+  explicit Scheduler(EventQueue& q) : q_(q) {}
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Current cycle of this shard's clock. Shards within one window may skew
-  /// by less than the window quantum; shard-local causality is exact.
+  /// Current simulated cycle.
   [[nodiscard]] Cycle now() const { return q_.now(); }
 
-  [[nodiscard]] ShardId shard() const { return shard_; }
-  [[nodiscard]] ShardId shardCount() const;
-
-  /// Schedule `fn` on this shard at absolute cycle `when` (>= now()).
+  /// Schedule `fn` at absolute cycle `when` (>= now()).
   template <typename F>
   void scheduleAt(Cycle when, F&& fn) {
     q_.scheduleAt(when, std::forward<F>(fn));
   }
 
-  /// Schedule `fn` on this shard `delay` cycles from now.
+  /// Schedule `fn` `delay` cycles from now.
   template <typename F>
   void scheduleIn(Cycle delay, F&& fn) {
     q_.scheduleAt(q_.now() + delay, std::forward<F>(fn));
   }
 
-  /// Schedule `fn` on shard `dst` at cycle `when`. Same-shard posts are
-  /// plain scheduleAt calls (no mailbox, no reordering — this is what keeps
-  /// simThreads=1 byte-identical). Cross-shard posts land in the mailbox
-  /// drained at the next window barrier, stamped (when, src-shard, seq);
-  /// `when` is clamped forward to the destination clock if it has passed.
-  template <typename F>
-  void post(ShardId dst, Cycle when, F&& fn) {
-    if (dst == shard_) {
-      q_.scheduleAt(when < q_.now() ? q_.now() : when, std::forward<F>(fn));
-      return;
-    }
-    postCross(dst, when, EventQueue::Handler(std::forward<F>(fn)));
-  }
-
  private:
-  void postCross(ShardId dst, Cycle when, EventQueue::Handler fn);
-
-  SimKernel& kernel_;
-  ShardId shard_;
   EventQueue& q_;
 };
 
-/// The discrete-event kernel: owns one (EventQueue, Scheduler, StatRegistry)
-/// triple per shard plus the window-barrier machinery that runs them on
-/// worker threads. With one shard it degenerates to the classic
-/// single-queue kernel (EventQueue::run on the calling thread).
+/// The discrete-event kernel: owns the simulation's EventQueue, the
+/// Scheduler facade over it and the StatRegistry every component counts in.
 class SimKernel {
  public:
-  /// Default barrier-window quantum, in cycles. Large enough that barrier
-  /// overhead amortizes over hundreds of events per shard, small enough
-  /// that cross-shard clamping stays well under a network round trip.
-  static constexpr Cycle kDefaultWindowCycles = 64;
-
-  explicit SimKernel(ShardId shards, Cycle windowCycles = kDefaultWindowCycles);
+  SimKernel() = default;
 
   SimKernel(const SimKernel&) = delete;
   SimKernel& operator=(const SimKernel&) = delete;
 
-  [[nodiscard]] ShardId shardCount() const { return static_cast<ShardId>(shards_.size()); }
-  [[nodiscard]] bool parallel() const { return shards_.size() > 1; }
-  [[nodiscard]] Cycle windowCycles() const { return window_; }
+  [[nodiscard]] Scheduler& scheduler() { return sched_; }
+  [[nodiscard]] StatRegistry& registry() { return stats_; }
+  [[nodiscard]] const StatRegistry& registry() const { return stats_; }
 
-  [[nodiscard]] Scheduler& scheduler(ShardId s) { return *shards_[s]->sched; }
-  /// Per-shard stat registry. Components register in their owning shard's
-  /// registry; foldStats() merges everything into shard 0 after a run.
-  [[nodiscard]] StatRegistry& registry(ShardId s) { return shards_[s]->stats; }
-  [[nodiscard]] const StatRegistry& registry(ShardId s) const { return shards_[s]->stats; }
+  /// Run until the queue drains or `limit` cycles elapse. Returns true on a
+  /// drain (normal completion).
+  bool run(Cycle limit = kNoCycle) { return q_.run(limit); }
 
-  /// Run until every shard drains or `limit` cycles elapse. Returns true on
-  /// a drain (normal completion). Single shard: EventQueue::run on the
-  /// calling thread. Multiple shards: one worker thread per shard, window
-  /// barriers in between. Exceptions thrown by event handlers are rethrown
-  /// on the calling thread (lowest shard id wins when several shards fail).
-  bool run(Cycle limit = kNoCycle);
-
-  /// Run while `keepGoing` returns true (checked between events). Only
-  /// meaningful on a single-shard kernel; throws std::logic_error otherwise.
-  bool runWhile(const std::function<bool()>& keepGoing, Cycle limit = kNoCycle);
-
-  /// Completed-simulation clock: the maximum shard clock.
-  [[nodiscard]] Cycle now() const;
-
-  /// Events executed, summed over shards (the events_per_sec numerator —
-  /// each shard attributes its own executed count; see RunRecorder).
-  [[nodiscard]] std::uint64_t executedEvents() const;
-  /// Events executed by one shard's loop.
-  [[nodiscard]] std::uint64_t executedEvents(ShardId s) const {
-    return shards_[s]->q.executed();
+  /// Run while `keepGoing` returns true (checked between events).
+  bool runWhile(const std::function<bool()>& keepGoing, Cycle limit = kNoCycle) {
+    return q_.runWhile(keepGoing, limit);
   }
 
-  [[nodiscard]] std::size_t pendingEvents() const;
-
-  /// Fold shards 1..N-1's registries into shard 0's and zero them (handles
-  /// stay valid, so a later run keeps accumulating correctly). No-op on a
-  /// single-shard kernel.
-  void foldStats();
+  [[nodiscard]] Cycle now() const { return q_.now(); }
+  /// Events executed so far (the events_per_sec numerator).
+  [[nodiscard]] std::uint64_t executedEvents() const { return q_.executed(); }
+  [[nodiscard]] std::size_t pendingEvents() const { return q_.pending(); }
 
  private:
-  friend class Scheduler;
-
-  /// A cross-shard event: fires at `when` on the destination shard, ordered
-  /// by (when, src-shard, seq) against every other drained event.
-  struct Posted {
-    Cycle when = 0;
-    ShardId src = 0;
-    std::uint64_t seq = 0;
-    EventQueue::Handler fn;
-  };
-
-  /// One shard: calendar queue + facade + stats + outboxes. Padded so two
-  /// shards' hot state never shares a cache line.
-  struct alignas(64) Shard {
-    EventQueue q;
-    std::unique_ptr<Scheduler> sched;
-    StatRegistry stats;
-    /// outbox[dst]: events posted from this shard to `dst` this window.
-    /// Written only by this shard's thread; read by `dst` after a barrier.
-    std::vector<std::vector<Posted>> outbox;
-    std::vector<std::uint64_t> outSeq;  ///< per-destination FIFO stamp
-    std::exception_ptr error;
-  };
-
-  /// Sense-reversing spin barrier; the last arriver runs `completion`
-  /// before releasing the others, which is how window planning happens
-  /// exactly once per round with no extra synchronization.
-  class Barrier {
-   public:
-    explicit Barrier(std::uint32_t n) : n_(n) {}
-    void arriveAndWait(const std::function<void()>& completion);
-
-   private:
-    std::uint32_t n_;
-    std::atomic<std::uint32_t> count_{0};
-    std::atomic<std::uint32_t> generation_{0};
-  };
-
-  void postCross(ShardId src, ShardId dst, Cycle when, EventQueue::Handler fn);
-  bool runParallel(Cycle limit);
-  void workerLoop(ShardId s);
-  /// Move every event posted *to* shard s into its queue, in deterministic
-  /// (cycle, src-shard, seq) order, clamped forward to the shard clock.
-  void drainInbox(ShardId s);
-  /// Barrier completion: pick the next window from the global minimum
-  /// pending cycle, or finish the run.
-  void planNextWindow();
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  Cycle window_;
-
-  // Window-loop control. Written only by the barrier completion (or before
-  // threads start); read by workers after the barrier releases them, so the
-  // barrier's release ordering is the only synchronization needed.
-  Cycle windowEnd_ = 0;
-  Cycle limit_ = kNoCycle;
-  bool done_ = false;
-  bool drained_ = false;
-  std::vector<Cycle> nextCycle_;  ///< per-shard published next pending cycle
-  std::atomic<bool> failed_{false};
-  std::unique_ptr<Barrier> barrier_;
+  EventQueue q_;
+  Scheduler sched_{q_};
+  StatRegistry stats_;
 };
-
-inline ShardId Scheduler::shardCount() const { return kernel_.shardCount(); }
-
-inline void Scheduler::postCross(ShardId dst, Cycle when, EventQueue::Handler fn) {
-  kernel_.postCross(shard_, dst, when, std::move(fn));
-}
 
 }  // namespace dresar

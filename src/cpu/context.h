@@ -67,8 +67,7 @@ class ThreadContext {
   /// Atomic read-modify-write; resumes holding the line in M state. The
   /// code immediately after the co_await runs atomically with respect to
   /// every other simulated processor: M-state ownership is exclusive under
-  /// the protocol, and cross-shard ownership transfer flows through kernel
-  /// mailboxes, so the next owner's resume happens-after this update.
+  /// the protocol, so the next owner's resume happens-after this update.
   auto rmw(Addr a) {
     struct Awaiter {
       ThreadContext& ctx;

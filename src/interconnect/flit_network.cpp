@@ -22,20 +22,16 @@ FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
       numNodes_(numNodes),
       lineBytes_(lineBytes),
       vcs_(std::max(1u, cfg.virtualChannels)),
-      sched_(kernel.scheduler(0)),
+      sched_(kernel.scheduler()),
       topo_(numNodes, cfg.switchRadix),
       hooks_(hooks),
       routing_(makeRoutingPolicy(cfg.routing, kRoutingSeed)) {
-  // The flit model steps a global per-cycle tick, so it cannot shard;
-  // SystemConfig::validate rejects flitLevel with simThreads > 1.
-  if (kernel.parallel())
-    throw std::invalid_argument("FlitNetwork: flit-level model requires simThreads=1");
   if (cfg_.bufferFlits == 0) throw std::invalid_argument("FlitNetwork: bufferFlits must be >= 1");
   if (hooks_.fault != nullptr && hooks_.fault->linkStall().active()) {
     const LinkStallSpec& s = hooks_.fault->linkStall();
     faultStallFlat_ = topo_.flat(SwitchId{s.stage, s.index});
   }
-  StatRegistry& stats = kernel.registry(0);
+  StatRegistry& stats = kernel.registry();
   switches_.resize(topo_.totalSwitches());
   endpoints_.resize(2ull * numNodes_);
   activeNi_.assign((endpoints_.size() + 63) / 64, 0);
@@ -169,7 +165,7 @@ FlitNetwork::MsgState* FlitNetwork::newMsg(Message m, Route route) {
   ms->hop = 0;
   ms->outLink = kNone;
   ms->snoopedMask = 0;
-  ms->sunk = false;
+  ms->sunkFlat = kNone;
   ms->drained = 0;
   ms->birth = sched_.now();
   ms->msg = std::move(m);
@@ -354,11 +350,13 @@ void FlitNetwork::releaseLock(Link& out) {
 bool FlitNetwork::maybeSnoop(std::uint32_t flat, std::uint32_t input) {
   const Flit& f = front(input);
   MsgState& ms = *f.ms;
-  if (!f.head() || hooks_.snoop == nullptr) return !ms.sunk;
+  // Flits sunk here were drained before the snoop pass; a body flit of a
+  // message sunk downstream streams on.
+  if (!f.head() || hooks_.snoop == nullptr) return true;
   // Key the mask by this switch's hop index on the route (a route never
   // revisits a switch), so 64 bits cover any geometry's switch count.
   const std::uint64_t bit = 1ull << ms.hop;
-  if (ms.snoopedMask & bit) return !ms.sunk;
+  if (ms.snoopedMask & bit) return true;
   ms.snoopedMask |= bit;
   const SwitchId sw = topo_.unflat(flat);
   spawn_.clear();
@@ -371,7 +369,7 @@ bool FlitNetwork::maybeSnoop(std::uint32_t flat, std::uint32_t input) {
     ++switchInjected_;
   }
   if (!out.pass) {
-    ms.sunk = true;
+    ms.sunkFlat = flat;
     ++sunk_;
     ++sunkCounter_;
     return false;
@@ -416,9 +414,9 @@ void FlitNetwork::tickSwitch(std::uint32_t flat) {
   wanted_.clear();
   for (std::uint32_t input = s.firstInput; input < s.firstInput + s.numInputs; ++input) {
     InputVc& in = inputs_[input];
-    // Drain everything a sink consumed (credits flow back upstream). Flits of
-    // a sunk message drain at whichever buffer front they reach first.
-    while (in.size != 0 && front(input).ms->sunk) {
+    // Drain the flits of a message this switch sank (credits flow back
+    // upstream).
+    while (in.size != 0 && front(input).ms->sunkFlat == flat) {
       const Flit f = popFront(s, input);
       if (f.tail()) --live_;  // the whole message has now been consumed
       if (++f.ms->drained == f.ms->totalFlits) freeMsg(f.ms);

@@ -8,8 +8,9 @@
 // The switch-directory snoop fires when a message's head flit first reaches
 // the front of an input buffer at a switch, in parallel with arbitration,
 // exactly as DRESAR is specified to operate; a sunk message's remaining
-// flits are drained at that switch, and switch-generated messages enter the
-// crossbar through the extra injection port (the paper's 10x4 crossbar).
+// flits stream up to that switch and are drained there, and switch-generated
+// messages enter the crossbar through the extra injection port (the paper's
+// 10x4 crossbar).
 //
 // The model ticks every cycle while anything is in flight, and a tick's cost
 // follows the flits that move: port state is flat and idle switches return
@@ -51,7 +52,6 @@ class FlitNetwork final : public INetwork {
   FlitNetwork& operator=(const FlitNetwork&) = delete;
 
   [[nodiscard]] const Butterfly& topology() const override { return topo_; }
-  [[nodiscard]] const ShardMap& shardMap() const override { return map_; }
   void send(Message m) override;
   [[nodiscard]] std::uint64_t messagesSent() const override { return sent_; }
   [[nodiscard]] std::uint64_t messagesSunk() const override { return sunk_; }
@@ -93,7 +93,10 @@ class FlitNetwork final : public INetwork {
     std::uint64_t snoopedMask = 0; ///< route hop indices whose snoop has run
                                    ///< (a route never revisits a switch, so
                                    ///< this fits any geometry in 64 bits)
-    bool sunk = false;
+    /// Flat id of the switch whose snoop sank the message; kNone while it
+    /// travels. Its flits drain there only: upstream switches stream body
+    /// and tail as usual, so the tail still releases their output locks.
+    std::uint32_t sunkFlat = kNone;
     std::uint32_t drained = 0;     ///< flits of a sunk message consumed so far
     Cycle birth = 0;               ///< age for arbitration
   };
@@ -229,7 +232,6 @@ class FlitNetwork final : public INetwork {
   std::uint32_t lineBytes_;
   std::uint32_t vcs_;  ///< buffers per (link): max(1, virtualChannels)
   Scheduler& sched_;
-  ShardMap map_;  ///< default map: the flit model is single-shard (cfg-gated)
   Butterfly topo_;
   /// Hot-path counters, resolved once at construction.
   std::array<CounterHandle, kMsgTypeCount> msgCounters_;  ///< "net.msgs.<type>"

@@ -44,10 +44,9 @@ namespace dresar {
 
 class DresarManager : public ISwitchSnoop {
  public:
-  /// Each switch unit's counters register in the registry of the shard that
-  /// owns the switch (per `map`), since onMessage runs on that shard.
+  /// Each switch unit registers its "sd.<flat>.*" counters in `stats`.
   DresarManager(const SwitchDirConfig& cfg, const Butterfly& topo, std::uint32_t lineBytes,
-                std::uint32_t numNodes, SimKernel& kernel, const ShardMap& map);
+                std::uint32_t numNodes, StatRegistry& stats);
 
   SnoopOutcome onMessage(SwitchId sw, Cycle now, Message& m,
                          std::vector<Message>& spawn) override;
@@ -62,16 +61,19 @@ class DresarManager : public ISwitchSnoop {
   [[nodiscard]] const SwitchDirCache& cacheAt(SwitchId sw) const;
   [[nodiscard]] bool enabled() const { return cfg_.enabled(); }
 
-  /// Aggregate counters (sums over all switches), for benches and tests.
-  /// Each bump lands in the unit touched by the executing shard; the sums
-  /// are read post-run, after the kernel's window barriers have quiesced.
-  [[nodiscard]] std::uint64_t ctocInitiated() const { return sumUnits(&Unit::ctocInitiated); }
-  [[nodiscard]] std::uint64_t readRetries() const { return sumUnits(&Unit::readRetries); }
-  [[nodiscard]] std::uint64_t writeRetries() const { return sumUnits(&Unit::writeRetries); }
-  [[nodiscard]] std::uint64_t writeBackServes() const { return sumUnits(&Unit::wbServes); }
-  [[nodiscard]] std::uint64_t copyBackServes() const { return sumUnits(&Unit::cbServes); }
-  [[nodiscard]] std::uint64_t deposits() const { return sumUnits(&Unit::deposits); }
-  [[nodiscard]] std::uint64_t staleSelfHits() const { return sumUnits(&Unit::staleSelf); }
+  /// Aggregate counters (sums of the per-switch counters), for benches and
+  /// tests.
+  [[nodiscard]] std::uint64_t ctocInitiated() const { return sumUnits(&Counters::ctocInitiated); }
+  [[nodiscard]] std::uint64_t readRetries() const { return sumUnits(&Counters::readRetries); }
+  [[nodiscard]] std::uint64_t writeRetries() const { return sumUnits(&Counters::writeRetries); }
+  [[nodiscard]] std::uint64_t writeBackServes() const {
+    return sumUnits(&Counters::writebackServes);
+  }
+  [[nodiscard]] std::uint64_t copyBackServes() const {
+    return sumUnits(&Counters::copybackServes);
+  }
+  [[nodiscard]] std::uint64_t deposits() const { return sumUnits(&Counters::deposits); }
+  [[nodiscard]] std::uint64_t staleSelfHits() const { return sumUnits(&Counters::staleSelf); }
 
   /// Invariant support: total TRANSIENT entries across switches (must be zero
   /// at quiesce).
@@ -91,11 +93,6 @@ class DresarManager : public ISwitchSnoop {
     PortSchedule pendingPorts;
     std::uint32_t transientCount = 0;
     Counters c;
-    /// Manager-level aggregates, kept per unit so each shard only writes the
-    /// units it owns; the accessors above sum them post-run. Unlike the
-    /// registry counters these survive the kernel's stat fold.
-    std::uint64_t ctocInitiated = 0, readRetries = 0, writeRetries = 0, wbServes = 0,
-        cbServes = 0, deposits = 0, staleSelf = 0;
 
     Unit(const SwitchDirConfig& cfg, std::uint32_t lineBytes)
         : cache(cfg.entries, cfg.associativity, lineBytes, cfg.replacementPolicy),
@@ -103,9 +100,9 @@ class DresarManager : public ISwitchSnoop {
           pendingPorts(cfg.snoopPortsPerCycle * 2) {}
   };
 
-  [[nodiscard]] std::uint64_t sumUnits(std::uint64_t Unit::* f) const {
+  [[nodiscard]] std::uint64_t sumUnits(CounterHandle Counters::* f) const {
     std::uint64_t n = 0;
-    for (const auto& u : units_) n += u.*f;
+    for (const auto& u : units_) n += (u.c.*f).value();
     return n;
   }
 

@@ -31,10 +31,9 @@ namespace dresar {
 
 class SwitchCacheManager : public ISwitchSnoop {
  public:
-  /// Each switch unit's counters register in the registry of the shard that
-  /// owns the switch (per `map`), since onMessage runs on that shard.
+  /// Each switch unit registers its "sc.<flat>.*" counters in `stats`.
   SwitchCacheManager(const SwitchCacheConfig& cfg, const Butterfly& topo,
-                     std::uint32_t lineBytes, SimKernel& kernel, const ShardMap& map);
+                     std::uint32_t lineBytes, StatRegistry& stats);
 
   SnoopOutcome onMessage(SwitchId sw, Cycle now, Message& m,
                          std::vector<Message>& spawn) override;
@@ -44,11 +43,10 @@ class SwitchCacheManager : public ISwitchSnoop {
   void setFaultInjector(FaultInjector* fault) { fault_ = fault; }
 
   [[nodiscard]] bool enabled() const { return cfg_.enabled(); }
-  /// Aggregates summed over units post-run (each unit is only written by its
-  /// owning shard; these plain fields survive the kernel's stat fold).
-  [[nodiscard]] std::uint64_t deposits() const { return sumUnits(&Unit::nDeposits); }
-  [[nodiscard]] std::uint64_t serves() const { return sumUnits(&Unit::nServes); }
-  [[nodiscard]] std::uint64_t invalidates() const { return sumUnits(&Unit::nInvalidates); }
+  /// Sums of the per-switch counters.
+  [[nodiscard]] std::uint64_t deposits() const { return sumUnits(&Unit::deposits); }
+  [[nodiscard]] std::uint64_t serves() const { return sumUnits(&Unit::serves); }
+  [[nodiscard]] std::uint64_t invalidates() const { return sumUnits(&Unit::invalidates); }
 
  private:
   struct Unit {
@@ -56,7 +54,6 @@ class SwitchCacheManager : public ISwitchSnoop {
     PortSchedule ports;
     /// Per-switch counters ("sc.<flat>.*"), resolved once at construction.
     CounterHandle deposits, serves, invalidates;
-    std::uint64_t nDeposits = 0, nServes = 0, nInvalidates = 0;
     Unit(const SwitchCacheConfig& cfg, std::uint32_t lineBytes)
         : tags(cfg.entries, cfg.associativity, lineBytes, cfg.replacementPolicy),
           ports(cfg.snoopPortsPerCycle) {}
@@ -64,9 +61,9 @@ class SwitchCacheManager : public ISwitchSnoop {
 
   Unit& unit(SwitchId sw) { return units_[topo_.flat(sw)]; }
 
-  [[nodiscard]] std::uint64_t sumUnits(std::uint64_t Unit::* f) const {
+  [[nodiscard]] std::uint64_t sumUnits(CounterHandle Unit::* f) const {
     std::uint64_t n = 0;
-    for (const auto& u : units_) n += u.*f;
+    for (const auto& u : units_) n += (u.*f).value();
     return n;
   }
 

@@ -120,9 +120,7 @@ class FftWorkload final : public Workload {
       co_await barrier_->arrive(ctx);
       src = dst;
     }
-    // Every proc computes the same final buffer index, but on the sharded
-    // kernel they finish on different threads; a single writer keeps the
-    // (value-identical) store race-free.
+    // Every proc computes the same final buffer index; proc 0 records it.
     if (ctx.id() == 0) result_ = src;
   }
 

@@ -21,7 +21,7 @@ class CacheCtrlTest : public ::testing::Test {
   CacheCtrlTest()
       : net_(cfg_.net, cfg_.numNodes, cfg_.lineBytes, kernel_,
              NetworkHooks{&sink_, nullptr, nullptr, nullptr}),
-        ctrl_(0, cfg_, kernel_.scheduler(0), net_, kernel_.registry(0)) {
+        ctrl_(0, cfg_, kernel_.scheduler(), net_, kernel_.registry()) {
     sink_.on(procEp(0), [this](const Message& m) { ctrl_.onMessage(m); });
     for (NodeId n = 1; n < cfg_.numNodes; ++n) {
       sink_.on(procEp(n), [this](const Message& m) { toProcs_.push_back(m); });
@@ -54,11 +54,11 @@ class CacheCtrlTest : public ::testing::Test {
   }
 
   SystemConfig cfg_;
-  SimKernel kernel_{1};
+  SimKernel kernel_;
   FnSink sink_;
   Network net_;
   CacheController ctrl_;
-  StatRegistry& stats_ = kernel_.registry(0);
+  StatRegistry& stats_ = kernel_.registry();
   std::vector<Message> toHome_;
   std::vector<Message> toProcs_;
 };

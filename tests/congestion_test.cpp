@@ -32,7 +32,7 @@ Message wb(NodeId src, NodeId dstMem, Addr a) {
 }
 
 TEST(FlitCongestion, FanInPopulatesSaturationTelemetry) {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   cfg.bufferFlits = 1;  // most aggressive backpressure
   FnSink sink;
@@ -67,7 +67,7 @@ TEST(FlitCongestion, FanInPopulatesSaturationTelemetry) {
 }
 
 TEST(FlitCongestion, LockHoldTracksWormholeChains) {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   FnSink sink;
   FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, nullptr});
@@ -87,7 +87,7 @@ TEST(FlitCongestion, LockHoldTracksWormholeChains) {
 TEST(FlitCongestion, MessageLevelNetworkExposesNoTelemetry) {
   // The message-level model's unbounded queues have no credit state to
   // observe; congestion() must stay null so schema emission is flit-gated.
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   FnSink sink;
   Network net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, nullptr});
@@ -100,13 +100,13 @@ TEST(FlitCongestion, LinkStallTreeFormsUpstreamAndDrains) {
   // propagate the starvation into stage 0 (the stall tree), the frozen
   // switch itself attempts no grants, and once the window passes the whole
   // tree drains to quiescence with nothing stranded.
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   cfg.bufferFlits = 2;
   FaultPlan plan;
   plan.linkStall = LinkStallSpec{/*stage=*/1, /*index=*/0, /*startCycle=*/0,
                                  /*lengthCycles=*/400};
-  FaultInjector inj(plan, kernel.registry(0));
+  FaultInjector inj(plan, kernel.registry());
   FnSink sink;
   FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, &inj});
   int delivered = 0;
@@ -125,7 +125,7 @@ TEST(FlitCongestion, LinkStallTreeFormsUpstreamAndDrains) {
   EXPECT_NO_THROW(inj.requireBalanced());
   // Delivery cannot complete inside the frozen window.
   EXPECT_GT(lastDelivery, Cycle{400});
-  EXPECT_GT(kernel.registry(0).counterValue("fault.injected_stall_cycles"), 0u);
+  EXPECT_GT(kernel.registry().counterValue("fault.injected_stall_cycles"), 0u);
 
   const CongestionTelemetry* ct = net.congestion();
   ASSERT_NE(ct, nullptr);
@@ -149,7 +149,7 @@ TEST(FlitCongestion, LinkStallTreeFormsUpstreamAndDrains) {
 // tick is the only event besides flit arrivals here (no snoop, no fault
 // delay), so ticks = executed events - transmitted flits.
 TEST(FlitCongestion, EverySwitchSamplesOccupancyEveryTick) {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   FnSink sink;
   FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, nullptr});
@@ -163,7 +163,7 @@ TEST(FlitCongestion, EverySwitchSamplesOccupancyEveryTick) {
   kernel.run();
   EXPECT_EQ(net.inFlight(), 0u);
 
-  const std::uint64_t transmitted = kernel.registry(0).counterValue("flit.transmitted");
+  const std::uint64_t transmitted = kernel.registry().counterValue("flit.transmitted");
   const std::uint64_t ticks = kernel.executedEvents() - transmitted;
   ASSERT_GT(transmitted, 0u);
   ASSERT_GT(ticks, 0u);
@@ -180,7 +180,7 @@ TEST(FlitCongestion, EverySwitchSamplesOccupancyEveryTick) {
 // A stall window on a switch that no message crosses still charges every
 // stalled cycle: the fault check runs on idle switches too.
 TEST(FlitCongestion, LinkStallOnUntouchedSwitchCountsEveryCycle) {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   cfg.bufferFlits = 1;
   FaultPlan plan;
@@ -188,7 +188,7 @@ TEST(FlitCongestion, LinkStallOnUntouchedSwitchCountsEveryCycle) {
   // stage 1 fronts memories 12..15 and stays untouched.
   plan.linkStall = LinkStallSpec{/*stage=*/1, /*index=*/3, /*startCycle=*/10,
                                  /*lengthCycles=*/50};
-  FaultInjector inj(plan, kernel.registry(0));
+  FaultInjector inj(plan, kernel.registry());
   FnSink sink;
   FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, &inj});
   Cycle lastDelivery = 0;
@@ -199,7 +199,7 @@ TEST(FlitCongestion, LinkStallOnUntouchedSwitchCountsEveryCycle) {
   // The network stayed live across the whole window, so every cycle of it
   // was counted as stalled.
   ASSERT_GT(lastDelivery, Cycle{60});
-  EXPECT_EQ(kernel.registry(0).counterValue("fault.injected_stall_cycles"), 50u);
+  EXPECT_EQ(kernel.registry().counterValue("fault.injected_stall_cycles"), 50u);
 }
 
 TEST(SystemCongestion, HotspotAndIncastAnnotateOfferedAndAcceptedLoad) {

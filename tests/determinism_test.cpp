@@ -16,8 +16,9 @@ namespace dresar {
 namespace {
 
 std::string scientificStatsDump(const std::string& app, std::uint32_t sdEntries,
-                                const FaultPlan& fault = {}) {
+                                const FaultPlan& fault = {}, std::uint32_t numNodes = 16) {
   SystemConfig cfg;
+  cfg.numNodes = numNodes;
   cfg.switchDir.entries = sdEntries;
   cfg.fault = fault;
   Simulation sim(cfg);
@@ -38,6 +39,14 @@ TEST(Determinism, ScientificRunsAreReproducible) {
       EXPECT_FALSE(first.empty());
     }
   }
+}
+
+// A deeper (32-node, three-stage) network on the one-thread event kernel must
+// repeat byte for byte too.
+TEST(ParallelEquivalence, SimThreadsOneIsReproducible) {
+  const std::string first = scientificStatsDump("fft", 512, {}, 32);
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, scientificStatsDump("fft", 512, {}, 32));
 }
 
 TEST(Determinism, ZeroFaultRatesAreByteIdenticalToFaultFree) {

@@ -20,7 +20,7 @@ class DirCtrlTest : public ::testing::Test {
   DirCtrlTest()
       : net_(cfg_.net, cfg_.numNodes, cfg_.lineBytes, kernel_,
              NetworkHooks{&sink_, nullptr, nullptr, nullptr}),
-        home_(0, cfg_, kernel_.scheduler(0), net_, kernel_.registry(0)) {
+        home_(0, cfg_, kernel_.scheduler(), net_, kernel_.registry()) {
     sink_.on(memEp(0), [this](const Message& m) { home_.onMessage(m); });
     for (NodeId n = 1; n < cfg_.numNodes; ++n) {
       sink_.on(memEp(n), [](const Message&) {});
@@ -57,11 +57,11 @@ class DirCtrlTest : public ::testing::Test {
   }
 
   SystemConfig cfg_;
-  SimKernel kernel_{1};
+  SimKernel kernel_;
   FnSink sink_;
   Network net_;
   DirController home_;
-  StatRegistry& stats_ = kernel_.registry(0);
+  StatRegistry& stats_ = kernel_.registry();
   std::vector<Message> toProc_[16];
 };
 

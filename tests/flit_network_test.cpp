@@ -27,11 +27,11 @@ namespace {
 // Observer wiring is immutable (NetworkHooks at construction): snoops come
 // in through the fixture constructor, delivery handlers register on FnSink.
 struct Fixture {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   FnSink sink;
   FlitNetwork net;
-  StatRegistry& stats = kernel.registry(0);
+  StatRegistry& stats = kernel.registry();
 
   explicit Fixture(ISwitchSnoop* snoop = nullptr)
       : net(cfg, 16, 32, kernel, NetworkHooks{&sink, snoop, nullptr, nullptr}) {}
@@ -110,7 +110,7 @@ TEST(FlitNetwork, ManyToOneContentionDeliversEverything) {
 }
 
 TEST(FlitNetwork, TinyBuffersStillDrainViaCredits) {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   cfg.bufferFlits = 1;  // most aggressive backpressure
   FnSink sink;
@@ -128,7 +128,7 @@ TEST(FlitNetwork, TinyBuffersStillDrainViaCredits) {
 
 TEST(FlitNetwork, RejectsZeroBufferFlits) {
   // A zero-depth input buffer could never accept a flit.
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   cfg.bufferFlits = 0;
   FnSink sink;
@@ -180,6 +180,39 @@ TEST(FlitNetwork, SunkMessageIsDrainedCompletely) {
   EXPECT_FALSE(delivered);
   EXPECT_EQ(f.net.messagesSunk(), 1u);
   EXPECT_EQ(f.net.inFlight(), 0u);  // every flit drained, credits restored
+}
+
+// Sinks the one message carrying `addr` at its stage-1 switch.
+class AddrSinkSnoop : public ISwitchSnoop {
+ public:
+  explicit AddrSinkSnoop(Addr addr) : addr_(addr) {}
+  SnoopOutcome onMessage(SwitchId sw, Cycle, Message& m, std::vector<Message>&) override {
+    if (sw.stage == 1 && m.addr == addr_) return {false, 0};
+    return {};
+  }
+
+ private:
+  Addr addr_;
+};
+
+TEST(FlitNetwork, SinkingAMultiFlitMessageReleasesUpstreamLocks) {
+  // Procs 4..7 share a leaf switch and all write back to mem 9, so their
+  // five-flit messages queue for one output. Proc 5's is sunk at stage 1
+  // while its body is still upstream: the leaf switch must stream the body
+  // and tail on to the sinking switch, or its output lock is never released
+  // and the messages behind it wait forever.
+  AddrSinkSnoop snoop(0xA00);
+  Fixture f(&snoop);
+  int delivered = 0;
+  f.sink.on(memEp(9), [&](const Message&) { ++delivered; });
+  f.net.send(mkMsg(MsgType::WriteBack, procEp(5), memEp(9), 0xA00));
+  for (const NodeId p : {4u, 6u, 7u}) {
+    f.net.send(mkMsg(MsgType::WriteBack, procEp(p), memEp(9), 0x1000 + 0x40ull * p));
+  }
+  EXPECT_TRUE(f.kernel.run(/*limit=*/5000)) << "network did not drain";
+  EXPECT_EQ(delivered, 3);
+  EXPECT_EQ(f.net.messagesSunk(), 1u);
+  EXPECT_EQ(f.net.inFlight(), 0u);
 }
 
 TEST(FlitNetwork, SpawnedMessageUsesInjectionPort) {
@@ -301,14 +334,14 @@ struct GoldenRun {
 };
 
 GoldenRun runGoldenScenario() {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   cfg.routing = "adaptive";
   cfg.bufferFlits = 1;
   FaultPlan plan;
   plan.linkStall = LinkStallSpec{/*stage=*/1, /*index=*/2, /*startCycle=*/150,
                                  /*lengthCycles=*/120};
-  FaultInjector inj(plan, kernel.registry(0));
+  FaultInjector inj(plan, kernel.registry());
   GoldenSnoop snoop;
   FnSink sink;
   FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, &snoop, nullptr, &inj});
@@ -327,7 +360,7 @@ GoldenRun runGoldenScenario() {
   }
 
   Rng rng(2024);
-  Scheduler& sched = kernel.scheduler(0);
+  Scheduler& sched = kernel.scheduler();
   for (int i = 0; i < 360; ++i) {
     const auto at = static_cast<Cycle>(rng.below(500));
     const auto a = static_cast<NodeId>(rng.below(16));
@@ -351,7 +384,7 @@ GoldenRun runGoldenScenario() {
   kernel.run();
   EXPECT_EQ(net.inFlight(), 0u);
 
-  const StatRegistry& stats = kernel.registry(0);
+  const StatRegistry& stats = kernel.registry();
   for (const auto& [name, v] : stats.counters()) {
     if (name.rfind("flit.", 0) == 0 || name.rfind("net.", 0) == 0)
       os << "C " << name << ' ' << v << '\n';
